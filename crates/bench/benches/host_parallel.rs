@@ -95,8 +95,9 @@ fn main() {
         gen::words(4_096, 7),
         &mut points,
     );
-    // DNA-length strings: the expensive edit-DP workload (~10⁴ ops/pair)
-    // where per-chunk compute dwarfs thread-dispatch overhead.
+    // DNA-length strings: the most expensive edit workload (~0.8 µs per
+    // pair with the bit-parallel kernel), where per-chunk compute still
+    // dwarfs thread-dispatch overhead.
     sweep_metric(
         "edit-dna96",
         ItemMetric::Edit,

@@ -48,12 +48,12 @@ pub struct GtsParams {
     /// ([`BatchMetric::distance_batch_bounded`](metric_space::BatchMetric::distance_batch_bounded)):
     /// each survivor of the stored-distance filter is evaluated against its
     /// query's radius (MRQ) or current kNN bound (MkNNQ), so an edit
-    /// distance can abandon via the Ukkonen band once it provably exceeds
-    /// the bound — and is charged only the banded work. Answers are
+    /// distance can abandon once it provably exceeds the bound — and the
+    /// simulated device charges only the banded DP work. Answers are
     /// bit-identical to the default path (the bound kernels are exact
     /// whenever they report a distance, and the kNN bounds are tie-safe);
-    /// **simulated cycles differ** (that is the point — the banded DP is
-    /// cheaper), with abandoned evaluations counted in
+    /// **simulated cycles differ** (that is the point — the banded DP
+    /// charge is cheaper), with abandoned evaluations counted in
     /// [`StatsSnapshot::leaf_abandoned`](crate::stats::StatsSnapshot::leaf_abandoned).
     /// Off by default so the cycle-invariance suites keep their baseline. A
     /// kernel-strategy knob like `host_threads`, so not persisted by

@@ -36,6 +36,9 @@ impl W {
     }
 }
 
+/// Encoded size of one node: pivot, three `f64` radii, position, size.
+const NODE_BYTES: usize = 4 + 3 * 8 + 4 + 4;
+
 /// Little-endian reader with bounds checking.
 pub(crate) struct R<'a> {
     pub(crate) buf: &'a [u8],
@@ -73,6 +76,9 @@ impl<'a> R<'a> {
     }
     pub(crate) fn done(&self) -> bool {
         self.pos == self.buf.len()
+    }
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 }
 
@@ -182,10 +188,19 @@ pub(crate) fn decode(bytes: &[u8], object_count: usize) -> Result<Decoded, Index
         nc: r.u32()?,
         h: r.u32()?,
     };
-    let node_count = r.u64()? as usize;
-    if shape.nc != params.node_capacity || node_count != shape.total_nodes() || shape.h == 0 {
+    let node_count = r.u64()?;
+    if shape.nc != params.node_capacity
+        || shape.h == 0
+        || shape.total_nodes().map(|n| n as u64) != Some(node_count)
+    {
         return Err(IndexError::Unsupported("corrupt snapshot: tree shape"));
     }
+    // Check the claimed node list against the bytes left before allocating
+    // it: a hostile header must not make the decoder ask for petabytes.
+    if node_count > (r.remaining() / NODE_BYTES) as u64 {
+        return Err(IndexError::Unsupported("truncated snapshot"));
+    }
+    let node_count = node_count as usize;
     let mut nodes = NodeList::new(shape);
     for id in 1..=node_count {
         let pivot_raw = r.u32()?;
@@ -331,6 +346,31 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(Gts::restore(&dev, items, metric, &long).is_err());
+    }
+
+    #[test]
+    fn hostile_tree_height_is_rejected_before_allocating() {
+        // A real snapshot whose header claims height 12 (with the matching
+        // node count) would need ~8.6 PB of nodes; the decoder must answer
+        // with a typed error instead of aborting on the allocation.
+        let (items, metric, gts) = build();
+        let mut bytes = gts.snapshot();
+        // MAGIC, node_capacity u32, seed u64, cache u64, four flag bytes.
+        let shape_at = 4 + 4 + 8 + 8 + 4;
+        let nc = u32::from_le_bytes(bytes[shape_at..shape_at + 4].try_into().expect("nc"));
+        let hostile = TreeShape { nc, h: 12 };
+        let count = hostile.total_nodes().expect("fits in usize") as u64;
+        bytes[shape_at + 4..shape_at + 8].copy_from_slice(&12u32.to_le_bytes());
+        bytes[shape_at + 8..shape_at + 16].copy_from_slice(&count.to_le_bytes());
+        let dev = Device::rtx_2080_ti();
+        assert!(matches!(
+            Gts::restore(&dev, items.clone(), metric, &bytes),
+            Err(IndexError::Unsupported(_))
+        ));
+        // A height whose node count overflows is rejected too.
+        bytes[shape_at + 4..shape_at + 8].copy_from_slice(&200u32.to_le_bytes());
+        assert!(Gts::restore(&dev, items, metric, &bytes).is_err());
+        assert_eq!(TreeShape { nc, h: 200 }.total_nodes(), None);
     }
 
     #[test]

@@ -15,8 +15,8 @@ pub struct SearchStats {
     pub leaf_filtered: AtomicU64,
     /// Leaf table entries verified with a real distance computation.
     pub leaf_verified: AtomicU64,
-    /// Leaf verifications abandoned early by the bounded (banded) kernel:
-    /// the evaluation proved `d > bound` without finishing the full DP
+    /// Leaf verifications abandoned early by the bounded kernel: the
+    /// evaluation proved `d > bound` without finishing the distance
     /// ([`GtsParams::bounded_verification`](crate::GtsParams)). A subset of
     /// `leaf_verified` — abandoned entries still paid (banded) distance
     /// work.

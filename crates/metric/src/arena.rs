@@ -111,7 +111,7 @@ pub enum ArenaLayout {
 }
 
 /// Typed rejection returned by a kernel that cannot resolve payloads from
-/// an arena of the given layout (e.g. the Ukkonen-banded edit kernel, whose
+/// an arena of the given layout (e.g. the early-abandoning edit kernel, whose
 /// variable-width byte rows are exempt from the aligned layout).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LayoutUnsupported {

@@ -5,7 +5,7 @@
 //! per level, leaf verification, construction mapping) always evaluate a
 //! query against **many** stored objects at once. [`BatchMetric`] is that
 //! kernel-shaped interface: resolve ids against the arena, stream payloads
-//! from contiguous buffers, reuse DP scratch across the whole batch, and
+//! from contiguous buffers, encode the query once for the whole batch, and
 //! report the batch's total work and critical path in one go so the device
 //! charges a single kernel per batch instead of bookkeeping per pair.
 //!
@@ -23,26 +23,23 @@
 //!   model reads logical lengths only. The aligned path merely iterates
 //!   whole 8-lane blocks (query padded once per batch), the shape rustc
 //!   autovectorizes.
-//! * `distance_batch_bounded` may abandon early (Ukkonen banding for edit
-//!   distance) but is exact whenever it reports `Some(d)`, and `Some(d)` is
-//!   reported iff `d ≤ bound`. It returns a typed [`LayoutUnsupported`]
-//!   error — never a silent per-pair fallback — when a kernel cannot
-//!   resolve the arena's layout (the banded edit kernel is exempt from the
-//!   aligned layout; its rows are variable-width).
+//! * `distance_batch_bounded` may abandon early (the edit kernel stops
+//!   scanning once the bound is provably exceeded) but is exact whenever it
+//!   reports `Some(d)`, and `Some(d)` is reported iff `d ≤ bound`. It
+//!   returns a typed [`LayoutUnsupported`] error — never a silent per-pair
+//!   fallback — when a kernel cannot resolve the arena's layout (the edit
+//!   kernel is exempt from the aligned layout; its rows are variable-width).
 //! * The kernels are **chunk-safe**: evaluating disjoint sub-slices of one
 //!   id block concurrently from several host threads (see [`chunk_pairs`])
 //!   produces the same outputs and the same summed `(total, span)` as one
 //!   serial call over the whole block. Each pair's result depends only on
-//!   `(query, id)`, mutable state is confined to per-thread DP scratch
+//!   `(query, id)`, mutable state is confined to per-thread edit scratch
 //!   ([`crate::dist::with_edit_scratch`]), and the arena is read-only — so
 //!   callers may slice the arena-resolved block at any fixed chunk
 //!   boundary and fan the chunks out.
 
 use crate::arena::{AlignedBlock, ArenaKind, ArenaLayout, LayoutUnsupported, ObjectArena};
-use crate::dist::{
-    self, edit_distance_bounded_bytes_with, edit_distance_bytes_with, with_edit_scratch,
-    EditDistance, ItemMetric, Metric, VectorMetric,
-};
+use crate::dist::{self, with_edit_scratch, EditDistance, ItemMetric, Metric, VectorMetric};
 use crate::object::Item;
 
 /// Scalar per-pair fallback shared by the default trait methods and by
@@ -169,7 +166,7 @@ pub trait BatchMetric<O>: Metric<O> {
     /// return [`LayoutUnsupported`] rather than silently fall back to
     /// per-pair access (silent fallback would hide a mis-threaded layout
     /// behind a wall-clock regression). The shipped case is the
-    /// Ukkonen-banded **edit** kernel, which is exempt from the aligned
+    /// early-abandoning **edit** kernel, which is exempt from the aligned
     /// layout — its byte rows are variable-width, so no aligned text arena
     /// even exists; only a kind-mismatched (vector) aligned arena can
     /// trigger the error. The default implementation never errors (it
@@ -227,7 +224,7 @@ pub fn chunk_pairs<'a>(chunk: usize, ids: &'a [u32], out: &'a mut [f64]) -> Vec<
         .collect()
 }
 
-/// Clamp a float radius to the integer bound the banded edit DP expects:
+/// Clamp a float radius to the integer bound the edit kernel expects:
 /// an integer distance `d` satisfies `d ≤ r` iff `d ≤ ⌊r⌋`. Negative and
 /// NaN radii admit no distance at all.
 fn edit_bound(bound: f64) -> Option<u32> {
@@ -278,9 +275,11 @@ impl BatchMetric<Item> for ItemMetric {
             (ItemMetric::Edit, Some(arena), Item::Text(q)) => {
                 let q = q.as_bytes();
                 with_edit_scratch(|scratch| {
+                    // The query is the pattern of every pair: encode it once.
+                    scratch.load_pattern(q);
                     for (slot, &id) in out.iter_mut().zip(ids) {
                         let o = arena.text_bytes(id);
-                        *slot = f64::from(edit_distance_bytes_with(q, o, scratch));
+                        *slot = f64::from(scratch.distance(o));
                         let w = EditDistance::work_full_lens(q.len(), o.len());
                         total += w;
                         span = span.max(w);
@@ -350,11 +349,11 @@ impl BatchMetric<Item> for ItemMetric {
         assert_eq!(ids.len(), bounds.len());
         let (mut total, mut span) = (0u64, 0u64);
         // Both resolution paths (arena bytes vs boxed `Item` payloads) run
-        // the same banded DP and charge the same banded work, so enabling
-        // or disabling the arena never changes simulated cycle counts.
+        // the same kernel and charge the same banded work, so enabling or
+        // disabling the arena never changes simulated cycle counts.
         match (self, query) {
             (ItemMetric::Edit, Item::Text(q)) => {
-                // The banded edit kernel is exempt from the aligned layout:
+                // The edit kernel is exempt from the aligned layout:
                 // its byte rows are variable-width and `build_arena_with`
                 // never builds an aligned text arena, so an aligned arena
                 // here is a mis-threaded (vector) arena — reject it with a
@@ -367,6 +366,7 @@ impl BatchMetric<Item> for ItemMetric {
                 }
                 let qb = q.as_bytes();
                 with_edit_scratch(|scratch| {
+                    scratch.load_pattern(qb);
                     for ((slot, &id), &bound) in out.iter_mut().zip(ids).zip(bounds) {
                         let o = match arena {
                             Some(arena) => arena.text_bytes(id),
@@ -378,8 +378,7 @@ impl BatchMetric<Item> for ItemMetric {
                         match edit_bound(bound) {
                             None => *slot = None,
                             Some(b) => {
-                                *slot = edit_distance_bounded_bytes_with(qb, o, b, scratch)
-                                    .map(f64::from);
+                                *slot = scratch.distance_within(o, b).map(f64::from);
                                 // Charge the banded DP, not the full table.
                                 let w = EditDistance::work_bounded_lens(qb.len(), o.len(), b);
                                 total += w;

@@ -36,37 +36,178 @@ pub trait Metric<O: ?Sized>: Send + Sync {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EditDistance;
 
-/// Reusable scratch for the two DP rows of the Levenshtein kernels.
+/// Reusable state of the bit-parallel Levenshtein kernels (Myers 1999,
+/// "A fast bit-vector algorithm for approximate string matching based on
+/// dynamic programming"; multi-word blocks after Hyyrö 2003).
 ///
-/// The rows used to be `vec![...]`'d on every invocation — two heap
-/// allocations per distance inside leaf verification, the hottest loop in
-/// the system. Callers that evaluate many distances (the batched kernels of
-/// [`crate::BatchMetric`], the microbenches) hold one `EditScratch` for the
-/// whole batch; the scalar entry points share a thread-local instance.
+/// The kernel treats one string as the *pattern*: its match masks `peq`
+/// hold, for every byte value `c`, one bit per pattern position `i` with
+/// `pattern[i] == c`. A distance then scans the other string (the *text*)
+/// one byte at a time, advancing a whole DP column per step with a dozen
+/// word operations instead of `|pattern|` cell updates. Patterns of up to
+/// 128 bytes (Words, DNA reads) run in a single `u128` word; longer ones
+/// in `u64` blocks whose vertical deltas live in `pv`/`mv`.
+///
+/// The batched kernels of [`crate::BatchMetric`] load the query as the
+/// pattern once per batch ([`EditScratch::load_pattern`]) and scan every
+/// stored object against it; the scalar entry points share a thread-local
+/// instance. Nothing is allocated per distance once the scratch has grown
+/// to the longest pattern seen.
 #[derive(Clone, Debug, Default)]
 pub struct EditScratch {
-    prev: Vec<u32>,
-    cur: Vec<u32>,
+    /// The loaded pattern: the `peq` entries to reset on the next load,
+    /// and the key that makes reloading the same pattern free.
+    pattern: Vec<u8>,
+    /// `peq[c * stride + w]`: bit `i % 64` of word `w = i / 64` is set iff
+    /// `pattern[i] == c`.
+    peq: Vec<u64>,
+    /// Words per byte value in `peq`: `⌈m / 64⌉`, at least 2 so that a
+    /// pattern of up to 128 bytes reads as one `u128`. Zero until the first
+    /// load.
+    stride: usize,
+    /// Per-block vertical `+1` deltas of the current column (multi-block).
+    pv: Vec<u64>,
+    /// Per-block vertical `−1` deltas of the current column (multi-block).
+    mv: Vec<u64>,
+}
+
+impl EditScratch {
+    /// Make `pattern` the string every following distance is measured
+    /// from (a new scratch holds the empty pattern). Reloading the pattern
+    /// already loaded is a byte comparison; switching patterns resets only
+    /// the previous pattern's masks.
+    pub fn load_pattern(&mut self, pattern: &[u8]) {
+        if self.stride != 0 && self.pattern == pattern {
+            return;
+        }
+        let stride = pattern.len().div_ceil(64).max(2);
+        if stride == self.stride {
+            for &c in &self.pattern {
+                self.peq[usize::from(c) * stride..][..stride].fill(0);
+            }
+        } else {
+            self.stride = stride;
+            self.peq.clear();
+            self.peq.resize(256 * stride, 0);
+        }
+        for (i, &c) in pattern.iter().enumerate() {
+            self.peq[usize::from(c) * stride + i / 64] |= 1 << (i % 64);
+        }
+        self.pattern.clear();
+        self.pattern.extend_from_slice(pattern);
+    }
+
+    /// Levenshtein distance between the loaded pattern and `text`.
+    pub fn distance(&mut self, text: &[u8]) -> u32 {
+        self.scan(text, u64::MAX)
+            .expect("an unbounded scan never abandons")
+    }
+
+    /// [`EditScratch::distance`] if it is at most `bound`, else `None`.
+    ///
+    /// Rejects on the length difference first, then abandons the scan at
+    /// the first column `j` whose bottom cell proves the bound exceeded:
+    /// `D[m][j] − (n − j) > bound`, since each remaining text byte lowers
+    /// the bottom cell by at most one.
+    pub fn distance_within(&mut self, text: &[u8], bound: u32) -> Option<u32> {
+        if self.pattern.len().abs_diff(text.len()) > bound as usize {
+            return None;
+        }
+        // `D[m][j] − (n − j) > bound` ⟺ `D[m][j] + j > bound + n`.
+        self.scan(text, u64::from(bound) + text.len() as u64)
+    }
+
+    /// The Myers/Hyyrö recurrence over `text`, abandoning once the bottom
+    /// cell plus the column index exceeds `cut`.
+    fn scan(&mut self, text: &[u8], cut: u64) -> Option<u32> {
+        let m = self.pattern.len();
+        if m == 0 {
+            return (text.len() as u64 <= cut).then_some(text.len() as u32);
+        }
+        let stride = self.stride;
+        let mut score = m as u64;
+        if m <= 128 {
+            // One `u128` column: `pv`/`mv` flag the rows whose value is one
+            // above/below the row above it. Bits past row `m − 1` hold
+            // garbage that only ever propagates upwards (carries and left
+            // shifts), so they never reach the bottom row read here.
+            let last = m as u32 - 1;
+            let (mut pv, mut mv) = (!0u128, 0u128);
+            for (j, &c) in text.iter().enumerate() {
+                let at = usize::from(c) * stride;
+                let eq = u128::from(self.peq[at]) | u128::from(self.peq[at + 1]) << 64;
+                let xv = eq | mv;
+                let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+                let ph = mv | !(xh | pv);
+                let mh = pv & xh;
+                score = score + (ph >> last & 1) as u64 - (mh >> last & 1) as u64;
+                // Global distance: the top row grows by one per column.
+                let ph = ph << 1 | 1;
+                let mh = mh << 1;
+                pv = mh | !(xv | ph);
+                mv = ph & xv;
+                if score + j as u64 + 1 > cut {
+                    return None;
+                }
+            }
+        } else {
+            // Hyyrö's blocks: each `u64` block of rows takes the horizontal
+            // delta leaving the block above it (`+1` into the top block)
+            // and hands its own bottom row's delta to the block below.
+            let blocks = stride;
+            let last_row = (m - 1) % 64;
+            self.pv.clear();
+            self.pv.resize(blocks, !0);
+            self.mv.clear();
+            self.mv.resize(blocks, 0);
+            for (j, &c) in text.iter().enumerate() {
+                let eqs = &self.peq[usize::from(c) * stride..][..blocks];
+                let (mut hp, mut hm) = (1u64, 0u64);
+                for (b, ((pv, mv), &eq)) in
+                    self.pv.iter_mut().zip(&mut self.mv).zip(eqs).enumerate()
+                {
+                    let out = if b + 1 == blocks { last_row } else { 63 };
+                    let xv = eq | *mv;
+                    // A `−1` entering at the top acts as a match in row 0.
+                    let eq = eq | hm;
+                    let xh = ((eq & *pv).wrapping_add(*pv) ^ *pv) | eq;
+                    let ph = *mv | !(xh | *pv);
+                    let mh = *pv & xh;
+                    let (hp_out, hm_out) = (ph >> out & 1, mh >> out & 1);
+                    let ph = ph << 1 | hp;
+                    let mh = mh << 1 | hm;
+                    *pv = mh | !(xv | ph);
+                    *mv = ph & xv;
+                    (hp, hm) = (hp_out, hm_out);
+                }
+                score = score + hp - hm;
+                if score + j as u64 + 1 > cut {
+                    return None;
+                }
+            }
+        }
+        Some(score as u32)
+    }
 }
 
 std::thread_local! {
     /// Per-thread scratch backing the scalar `edit_distance*` entry points
     /// **and** the batched edit kernels. Kernel execution fans out over
     /// host threads (`gpu_sim::exec` chunk workers), so the scratch must be
-    /// per-thread, not global: each worker reuses its own DP rows across
+    /// per-thread, not global: each worker reuses its own masks across
     /// every chunk it executes, and chunks never contend.
     static EDIT_SCRATCH: std::cell::RefCell<EditScratch> =
         std::cell::RefCell::new(EditScratch::default());
 }
 
 /// Run `f` with this thread's reusable [`EditScratch`] — the chunk-safe
-/// scratch entry the batched kernels use (one DP-row pair per host thread,
-/// reused across batches and chunks, never shared between threads).
+/// scratch entry the batched kernels use (one pattern table per host
+/// thread, reused across batches and chunks, never shared between threads).
 pub fn with_edit_scratch<R>(f: impl FnOnce(&mut EditScratch) -> R) -> R {
     EDIT_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// Classic two-row dynamic-programming Levenshtein distance.
+/// Levenshtein distance between two strings.
 ///
 /// Operates on bytes; the generators emit ASCII, matching the paper's word
 /// and DNA data.
@@ -76,99 +217,40 @@ pub fn edit_distance(a: &str, b: &str) -> u32 {
 
 /// Byte-level Levenshtein distance (thread-local scratch).
 pub fn edit_distance_bytes(a: &[u8], b: &[u8]) -> u32 {
-    EDIT_SCRATCH.with(|s| edit_distance_bytes_with(a, b, &mut s.borrow_mut()))
+    with_edit_scratch(|s| edit_distance_bytes_with(a, b, s))
 }
 
-/// Byte-level Levenshtein distance using caller-provided row scratch.
+/// Byte-level Levenshtein distance with `a` as the pattern, using
+/// caller-provided scratch.
 pub fn edit_distance_bytes_with(a: &[u8], b: &[u8], scratch: &mut EditScratch) -> u32 {
-    // Keep the shorter string in the inner dimension to minimise the rows.
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    if b.is_empty() {
-        return a.len() as u32;
-    }
-    scratch.prev.clear();
-    scratch.prev.extend(0..=b.len() as u32);
-    scratch.cur.clear();
-    scratch.cur.resize(b.len() + 1, 0);
-    let (mut prev, mut cur) = (&mut scratch.prev, &mut scratch.cur);
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i as u32 + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + u32::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
+    scratch.load_pattern(a);
+    scratch.distance(b)
 }
 
-/// Early-abandoning edit distance: returns `None` as soon as the distance is
-/// provably `> bound` (Ukkonen banding). Exact when `Some` is returned.
+/// Early-abandoning edit distance: `Some(d)` iff `d = d(a, b) ≤ bound`,
+/// giving up as soon as the scan proves the bound exceeded.
 ///
-/// Used by verification steps where a query radius is known; charged the
-/// banded work by [`EditDistance::work_bounded`].
+/// Used by verification steps where a query radius is known; the simulated
+/// device charges it [`EditDistance::work_bounded`].
 pub fn edit_distance_bounded(a: &str, b: &str, bound: u32) -> Option<u32> {
-    EDIT_SCRATCH.with(|s| {
-        edit_distance_bounded_bytes_with(a.as_bytes(), b.as_bytes(), bound, &mut s.borrow_mut())
-    })
+    with_edit_scratch(|s| edit_distance_bounded_bytes_with(a.as_bytes(), b.as_bytes(), bound, s))
 }
 
-/// Byte-level banded edit distance using caller-provided row scratch.
+/// Byte-level [`edit_distance_bounded`] with `a` as the pattern, using
+/// caller-provided scratch.
 pub fn edit_distance_bounded_bytes_with(
     a: &[u8],
     b: &[u8],
     bound: u32,
     scratch: &mut EditScratch,
 ) -> Option<u32> {
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    if (a.len() - b.len()) as u32 > bound {
-        return None;
-    }
-    if b.is_empty() {
-        return Some(a.len() as u32);
-    }
-    // Saturating sentinel: `bound = u32::MAX` must not wrap `inf` to 0
-    // (which would report every distance as 0); the DP already saturates
-    // its cell updates, so a saturated sentinel stays exact.
-    let inf = bound.saturating_add(1);
-    scratch.prev.clear();
-    scratch
-        .prev
-        .extend((0..=b.len() as u32).map(|v| v.min(inf)));
-    scratch.cur.clear();
-    scratch.cur.resize(b.len() + 1, inf);
-    let (mut prev, mut cur) = (&mut scratch.prev, &mut scratch.cur);
-    let band = bound as usize;
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = (i as u32 + 1).min(inf);
-        // Only the diagonal band [i-band, i+band] can stay within `bound`.
-        let lo = i.saturating_sub(band);
-        let hi = i.saturating_add(band).saturating_add(1).min(b.len());
-        if lo > 0 {
-            cur[lo] = inf;
-        }
-        let mut row_min = cur[0];
-        for j in lo..hi {
-            let cb = b[j];
-            let sub = prev[j].saturating_add(u32::from(ca != cb));
-            let del = prev[j + 1].saturating_add(1);
-            let ins = cur[j].saturating_add(1);
-            let v = sub.min(del).min(ins).min(inf);
-            cur[j + 1] = v;
-            row_min = row_min.min(v);
-        }
-        if hi < b.len() {
-            cur[hi + 1..].fill(inf);
-        }
-        if row_min > bound {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let d = prev[b.len()];
-    (d <= bound).then_some(d)
+    scratch.load_pattern(a);
+    scratch.distance_within(b, bound)
 }
 
+/// The work model charges the dynamic-programming cells a GPU kernel
+/// evaluates, not the host's bit-parallel column steps: simulated cycles
+/// depend on string lengths alone and stay independent of the host kernel.
 impl EditDistance {
     /// Work of the full DP: `(|a|+1)·(|b|+1)` cell updates, ~3 ops each.
     pub fn work_full(a: &str, b: &str) -> u64 {
@@ -181,7 +263,8 @@ impl EditDistance {
         3 * ((a_len as u64 + 1) * (b_len as u64 + 1))
     }
 
-    /// Work of the banded DP with half-width `bound`.
+    /// Work of a DP banded to half-width `bound` (the charge of an
+    /// early-abandoning evaluation).
     pub fn work_bounded(a: &str, b: &str, bound: u32) -> u64 {
         Self::work_bounded_lens(a.len(), b.len(), bound)
     }
@@ -475,11 +558,135 @@ mod tests {
         assert_eq!(edit_distance("aabc", "babcc"), 2);
     }
 
+    use crate::edit_dp::levenshtein;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Lengths on both sides of every word boundary the kernels branch on:
+    /// the `u128` single word (≤ 128 bytes) and the `u64` blocks beyond.
+    const EDGE_LENS: [usize; 10] = [0, 1, 63, 64, 65, 127, 128, 129, 200, 300];
+
+    /// `len` bytes over an alphabet of `sigma` byte values starting at a
+    /// random offset (so the full 0..=255 range is exercised).
+    fn random_bytes(rng: &mut StdRng, len: usize, sigma: u32) -> Vec<u8> {
+        let base = rng.gen_range(0..=256 - sigma);
+        (0..len)
+            .map(|_| (base + rng.gen_range(0..sigma)) as u8)
+            .collect()
+    }
+
+    /// A pair sharing structure (the second is a mutated copy of the
+    /// first) so distances land well below the length, where off-by-one
+    /// errors in the recurrence would show.
+    fn related_pair(rng: &mut StdRng, la: usize, lb: usize, sigma: u32) -> (Vec<u8>, Vec<u8>) {
+        let a = random_bytes(rng, la, sigma);
+        let mut b: Vec<u8> = a.iter().copied().take(lb).collect();
+        b.extend(random_bytes(rng, lb - b.len(), sigma));
+        for _ in 0..lb / 8 {
+            let at = rng.gen_range(0..lb);
+            b[at] = random_bytes(rng, 1, sigma)[0];
+        }
+        (a, b)
+    }
+
+    #[test]
+    fn myers_matches_dp_oracle_across_word_boundaries() {
+        let mut rng = StdRng::seed_from_u64(0x6d79_6572);
+        let mut scratch = EditScratch::default();
+        for &la in &EDGE_LENS {
+            for &lb in &EDGE_LENS {
+                for sigma in [1, 2, 4, 26, 256] {
+                    let (a, b) = if sigma % 2 == 0 {
+                        related_pair(&mut rng, la, lb, sigma)
+                    } else {
+                        (
+                            random_bytes(&mut rng, la, sigma),
+                            random_bytes(&mut rng, lb, sigma),
+                        )
+                    };
+                    let want = levenshtein(&a, &b);
+                    // Both argument orders: the query is always the pattern,
+                    // so this covers a longer and a shorter pattern.
+                    assert_eq!(edit_distance_bytes_with(&a, &b, &mut scratch), want);
+                    assert_eq!(edit_distance_bytes_with(&b, &a, &mut scratch), want);
+                    assert_eq!(edit_distance_bytes(&a, &b), want, "{la}x{lb} σ={sigma}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn myers_matches_dp_oracle_on_multibyte_utf8() {
+        let alphabet = ['a', 'é', 'ß', '中', '文', '🧬', 'Ω', 'z'];
+        let mut rng = StdRng::seed_from_u64(0x7574_6638);
+        for &chars in &[0usize, 1, 20, 40, 70, 130] {
+            let word = |rng: &mut StdRng| -> String {
+                (0..chars)
+                    .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                    .collect()
+            };
+            for _ in 0..8 {
+                let (a, b) = (word(&mut rng), word(&mut rng));
+                let want = levenshtein(a.as_bytes(), b.as_bytes());
+                assert_eq!(edit_distance(&a, &b), want, "{a:?} vs {b:?}");
+                assert_eq!(edit_distance(&b, &a), want, "{b:?} vs {a:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_answers_exactly_as_the_oracle_for_every_bound() {
+        let mut rng = StdRng::seed_from_u64(0x626f_756e);
+        let mut scratch = EditScratch::default();
+        for &la in &EDGE_LENS {
+            for &lb in &EDGE_LENS {
+                let (a, b) = related_pair(&mut rng, la, lb, 4);
+                let d = levenshtein(&a, &b);
+                let max_len = la.max(lb) as u32;
+                for bound in (0..=max_len + 1).chain([u32::MAX]) {
+                    let want = (d <= bound).then_some(d);
+                    assert_eq!(
+                        edit_distance_bounded_bytes_with(&a, &b, bound, &mut scratch),
+                        want,
+                        "{la}x{lb} d={d} bound={bound}"
+                    );
+                    assert_eq!(
+                        edit_distance_bounded_bytes_with(&b, &a, bound, &mut scratch),
+                        want,
+                        "{lb}x{la} d={d} bound={bound}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_loaded_pattern_serves_many_texts_and_reloads_cleanly() {
+        // Switch between single-word and multi-block patterns (the mask
+        // table changes shape) and between patterns of one shape (only the
+        // old pattern's masks are reset): stale masks would skew distances.
+        let mut rng = StdRng::seed_from_u64(0x7065_7121);
+        let mut scratch = EditScratch::default();
+        for &lp in &[300usize, 5, 300, 64, 129, 0, 128, 7, 7] {
+            let pattern = random_bytes(&mut rng, lp, 4);
+            scratch.load_pattern(&pattern);
+            for &lt in &EDGE_LENS {
+                let text = random_bytes(&mut rng, lt, 4);
+                let want = levenshtein(&pattern, &text);
+                assert_eq!(scratch.distance(&text), want, "pattern {lp}, text {lt}");
+                assert_eq!(scratch.distance_within(&text, want), Some(want));
+                if want > 0 {
+                    assert_eq!(scratch.distance_within(&text, want - 1), None);
+                }
+            }
+        }
+    }
+
     #[test]
     fn edit_bounded_agrees_when_within() {
         let pairs = [("kitten", "sitting"), ("abcdef", "azced"), ("aa", "aa")];
         for (a, b) in pairs {
-            let full = edit_distance(a, b);
+            let full = levenshtein(a.as_bytes(), b.as_bytes());
             for bound in 0..8 {
                 let got = edit_distance_bounded(a, b, bound);
                 if full <= bound {

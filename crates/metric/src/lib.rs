@@ -14,7 +14,7 @@
 //! * [`ObjectArena`]/[`BatchMetric`] — the flat object arena (contiguous
 //!   payload buffers + offsets) and the batched distance-kernel layer the
 //!   index hot paths launch one level at a time, with an early-abandoning
-//!   (Ukkonen-banded) variant for bounded verification;
+//!   variant for bounded verification;
 //! * [`Dataset`] and [`gen`] — seeded synthetic generators mirroring the
 //!   paper's Words, T-Loc, Vector, DNA, and Color datasets (Table 2);
 //! * [`SimilarityIndex`] — the query interface shared by GTS and every
@@ -40,6 +40,10 @@ pub mod object;
 pub mod partition;
 pub mod pivot;
 pub mod stats;
+
+#[cfg(test)]
+#[path = "../tests/support/edit_dp.rs"]
+mod edit_dp;
 
 pub use arena::{AlignedBlock, ArenaKind, ArenaLayout, LayoutUnsupported, ObjectArena};
 pub use batch::{chunk_pairs, BatchChunk, BatchMetric};

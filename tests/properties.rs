@@ -3,12 +3,59 @@
 //! batch-kernel/scalar agreement, and GTS-vs-scan equivalence on random
 //! inputs.
 
-use gts::metric::dist::{edit_distance, edit_distance_bounded};
+use gts::metric::dist::{
+    edit_distance, edit_distance_bounded, edit_distance_bounded_bytes_with, edit_distance_bytes,
+};
 use gts::metric::lemmas::{prune_node_range, prune_object_knn, prune_object_range};
-use gts::metric::BatchMetric;
 use gts::metric::Metric as _;
+use gts::metric::{BatchMetric, EditScratch};
 use gts::prelude::*;
 use proptest::prelude::*;
+use proptest::strategy::Strategy;
+use rand::rngs::StdRng;
+use rand::Rng;
+
+#[path = "../crates/metric/tests/support/edit_dp.rs"]
+mod edit_dp;
+use edit_dp::levenshtein;
+
+/// Lengths straddling every word boundary of the bit-parallel edit kernel:
+/// the single `u128` word (patterns of up to 128 bytes) and the `u64`
+/// blocks beyond it.
+const EDGE_LENS: [usize; 10] = [0, 1, 63, 64, 65, 127, 128, 129, 200, 300];
+
+/// Arbitrary byte strings of a boundary length, over an alphabet of 1 to
+/// 256 byte values.
+struct EdgeBytes;
+
+impl Strategy for EdgeBytes {
+    type Value = Vec<u8>;
+    fn generate(&self, rng: &mut StdRng) -> Vec<u8> {
+        let len = EDGE_LENS[rng.gen_range(0..EDGE_LENS.len())];
+        let sigma = [1u32, 2, 4, 20, 256][rng.gen_range(0..5usize)];
+        let base = rng.gen_range(0..=256 - sigma);
+        (0..len)
+            .map(|_| (base + rng.gen_range(0..sigma)) as u8)
+            .collect()
+    }
+}
+
+/// Strings of about a boundary length in bytes, mixing ASCII with two-,
+/// three- and four-byte UTF-8 scalars.
+struct EdgeUtf8;
+
+impl Strategy for EdgeUtf8 {
+    type Value = String;
+    fn generate(&self, rng: &mut StdRng) -> String {
+        const CHARS: [char; 7] = ['a', 'c', 'g', 't', 'é', '中', '🧬'];
+        let target = EDGE_LENS[rng.gen_range(0..EDGE_LENS.len())];
+        let mut s = String::new();
+        while s.len() < target {
+            s.push(CHARS[rng.gen_range(0..CHARS.len())]);
+        }
+        s
+    }
+}
 
 fn arb_word() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-d]{0,12}").expect("regex")
@@ -43,6 +90,67 @@ proptest! {
             None => prop_assert!(full > bound),
         }
     }
+
+    /// The bit-parallel kernel returns the DP oracle's integer at every
+    /// word-boundary length, with either string as the pattern.
+    #[test]
+    fn edit_kernel_matches_dp_oracle(a in EdgeBytes, b in EdgeBytes) {
+        let want = levenshtein(&a, &b);
+        prop_assert_eq!(edit_distance_bytes(&a, &b), want, "{}x{}", a.len(), b.len());
+        prop_assert_eq!(edit_distance_bytes(&b, &a), want, "{}x{}", b.len(), a.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The bounded kernel answers `Some(d)` exactly when the oracle's `d`
+    /// is within the bound — for every bound up to past the longer length,
+    /// and for `u32::MAX` — whichever string is the longer pattern.
+    #[test]
+    fn bounded_edit_matches_oracle_for_every_bound(a in EdgeBytes, b in EdgeBytes) {
+        let d = levenshtein(&a, &b);
+        let mut scratch = EditScratch::default();
+        let max_len = a.len().max(b.len()) as u32;
+        for bound in (0..=max_len + 1).chain([u32::MAX]) {
+            let want = (d <= bound).then_some(d);
+            prop_assert_eq!(edit_distance_bounded_bytes_with(&a, &b, bound, &mut scratch), want, "bound {}", bound);
+            prop_assert_eq!(edit_distance_bounded_bytes_with(&b, &a, bound, &mut scratch), want, "bound {}", bound);
+        }
+    }
+
+    /// The batched edit kernels, which encode the query once per batch,
+    /// match the oracle on multi-byte UTF-8 text of mixed lengths — so the
+    /// query is longer than some objects and shorter than others.
+    #[test]
+    fn batch_edit_matches_oracle_on_utf8(
+        words in proptest::collection::vec(EdgeUtf8, 2..10),
+        qsel in 0usize..10,
+        bound in 0.0f64..200.0,
+    ) {
+        let items: Vec<Item> = words.iter().map(|w| Item::text(w.clone())).collect();
+        let metric = ItemMetric::Edit;
+        let arena = metric.build_arena(&items).expect("homogeneous text");
+        let q = &words[qsel % words.len()];
+        let query = Item::text(q.clone());
+        let ids: Vec<u32> = (0..items.len() as u32).collect();
+        let mut out = vec![0.0; ids.len()];
+        metric.distance_batch(&items, Some(&arena), &query, &ids, &mut out);
+        let bounds = vec![bound; ids.len()];
+        let mut bounded = vec![None; ids.len()];
+        metric
+            .distance_batch_bounded(&items, Some(&arena), &query, &ids, &bounds, &mut bounded)
+            .expect("legacy arena");
+        for ((w, &got), &within) in words.iter().zip(&out).zip(&bounded) {
+            let want = f64::from(levenshtein(q.as_bytes(), w.as_bytes()));
+            prop_assert_eq!(got, want, "{} vs {} bytes", q.len(), w.len());
+            prop_assert_eq!(within, (want <= bound).then_some(want), "bound {}", bound);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// L1, L2 and angular distances satisfy the triangle inequality.
     #[test]
