@@ -13,7 +13,7 @@ use crate::clock::impl_gpu_clocked;
 use gpu_sim::primitives::top_k_min;
 use gpu_sim::{Device, GpuError, Reservation};
 use metric_space::index::{sort_neighbors, DynamicIndex, IndexError, Neighbor, SimilarityIndex};
-use metric_space::{ArenaLayout, BatchMetric, Footprint, Item, ItemMetric, ObjectArena};
+use metric_space::{BatchMetric, Footprint, Item, ItemMetric, ObjectArena};
 use std::sync::Arc;
 
 /// Brute-force GPU distance-table method.
@@ -51,29 +51,17 @@ fn gpu_err(e: GpuError) -> IndexError {
 
 impl GpuTable {
     /// Load the dataset onto the device (the only "construction" cost).
-    /// Uses the packed legacy arena layout.
     pub fn new(
         dev: &Arc<Device>,
         items: Vec<Item>,
         metric: ItemMetric,
-    ) -> Result<Self, IndexError> {
-        Self::with_layout(dev, items, metric, ArenaLayout::Legacy)
-    }
-
-    /// Load the dataset with an explicit arena layout. Metrics without a
-    /// block kernel degrade `Aligned` to `Legacy`.
-    pub fn with_layout(
-        dev: &Arc<Device>,
-        items: Vec<Item>,
-        metric: ItemMetric,
-        layout: ArenaLayout,
     ) -> Result<Self, IndexError> {
         let bytes: u64 = items.iter().map(Footprint::size_bytes).sum();
         let resident = dev
             .reserve(bytes, "GPU-Table resident objects")
             .map_err(gpu_err)?;
         dev.h2d_transfer(bytes);
-        let arena = metric.build_arena_with(&items, layout);
+        let arena = metric.build_arena(&items);
         let ids = (0..items.len() as u32).collect();
         Ok(GpuTable {
             dev: Arc::clone(dev),
@@ -332,31 +320,6 @@ mod tests {
         // kNN must also mask removed ids.
         let knn = t.knn_query(&Item::vector(vec![9e3, 9e3]), 3).expect("knn");
         assert!(!knn.iter().any(|n| n.id == id));
-    }
-
-    #[test]
-    fn aligned_layout_is_cycle_identical() {
-        let d = DatasetKind::TLoc.generate(200, 5);
-        let dev_l = Device::rtx_2080_ti();
-        let dev_a = Device::rtx_2080_ti();
-        let legacy = GpuTable::new(&dev_l, d.items.clone(), d.metric).expect("legacy");
-        let aligned =
-            GpuTable::with_layout(&dev_a, d.items.clone(), d.metric, ArenaLayout::Aligned)
-                .expect("aligned");
-        let queries: Vec<Item> = d.items[..16].to_vec();
-        let radii = vec![1.5; 16];
-        assert_eq!(
-            legacy.batch_range(&queries, &radii).expect("l"),
-            aligned.batch_range(&queries, &radii).expect("a"),
-        );
-        assert_eq!(
-            legacy.batch_knn(&queries, 7).expect("l"),
-            aligned.batch_knn(&queries, 7).expect("a"),
-        );
-        let (sl, sa) = (dev_l.stats(), dev_a.stats());
-        assert_eq!(sl.cycles, sa.cycles, "layout is a pure wall-clock lever");
-        assert_eq!(sl.work, sa.work);
-        assert_eq!(sl.kernels, sa.kernels);
     }
 
     #[test]

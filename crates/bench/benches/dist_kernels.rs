@@ -11,15 +11,11 @@
 //!   scratch);
 //! * **batch-bounded**: the early-abandoning variant (the edit kernel
 //!   stops scanning once the bound is provably exceeded), reported for
-//!   context;
-//! * **aligned**: the same `distance_batch` call against the
-//!   [`ArenaLayout::Aligned`] arena — zero-padded 8-lane blocks driving the
-//!   block-wise kernels (vector metrics only; edit distance has no block
-//!   kernel and reports no aligned row).
+//!   context.
 //!
 //! Vector metrics additionally time a **scalar-fold** reference — the
-//! textbook one-accumulator loop — and the bench *asserts* the aligned
-//! block-wise L2 kernel beats it by ≥ 1.3× on the 20k-pair block: a
+//! textbook one-accumulator loop — and the bench *asserts* the batched
+//! 8-lane L2 kernel beats it by ≥ 1.3× on the 20k-pair block: a
 //! regression here fails the run, not just the report.
 //!
 //! Edit rows (words, ~108-base DNA reads, and 200-base reads past the
@@ -40,7 +36,7 @@
 //! `cargo bench -p gts-bench --bench dist_kernels`.
 
 use metric_space::gen;
-use metric_space::{ArenaLayout, BatchMetric, Item, ItemMetric, Metric};
+use metric_space::{BatchMetric, Item, ItemMetric, Metric};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -54,9 +50,9 @@ const PAIRS: usize = 20_000;
 const DNA_PAIRS: usize = 2_000;
 const REPS: usize = 30;
 
-/// Aligned block-wise L2 must beat the sequential-fold scalar reference by
-/// at least this factor on the 20k-pair block (the PR's acceptance bar).
-const ALIGNED_L2_MIN_SPEEDUP: f64 = 1.3;
+/// The batched L2 kernel must beat the sequential-fold scalar reference by
+/// at least this factor on the 20k-pair block.
+const L2_MIN_FOLD_SPEEDUP: f64 = 1.3;
 
 /// The batched edit kernel must beat the DP oracle by at least this factor
 /// on the DNA row.
@@ -70,10 +66,8 @@ struct KernelTimes {
     batch_ns: f64,
     bounded_ns: f64,
     /// Textbook one-accumulator fold (vector metrics only): the scalar
-    /// reference the block-wise speedup is measured against.
+    /// reference the 8-lane kernels' speedup is measured against.
     scalar_ns: Option<f64>,
-    /// `None` for metrics without a block kernel (edit distance).
-    aligned_ns: Option<f64>,
     /// The full-DP oracle over the same pairs (edit distance only).
     dp_ns: Option<f64>,
 }
@@ -151,20 +145,7 @@ fn bench_metric(
         ItemMetric::Vector(metric_space::VectorMetric::L1) => Some(scalar_l1),
         _ => None,
     };
-    // The aligned layout: same batch entry point, block-wise kernels. Only
-    // metrics with a block kernel get a row (build_arena_with degrades the
-    // request to Legacy otherwise, which would silently re-time the batch
-    // path and report a meaningless "aligned" number).
-    let aligned_arena =
-        matches!(metric, ItemMetric::Vector(m) if m.block_kernel().is_some()).then(|| {
-            let aligned = metric
-                .build_arena_with(&items, ArenaLayout::Aligned)
-                .expect("homogeneous dataset");
-            assert_eq!(aligned.layout(), ArenaLayout::Aligned, "layout honoured");
-            aligned
-        });
     let mut out_fold = vec![0.0f64; ids.len()];
-    let mut out_aligned = vec![0.0f64; ids.len()];
     let mut out_dp = vec![0.0f64; ids.len()];
     let is_edit = metric == ItemMetric::Edit;
 
@@ -185,16 +166,14 @@ fn bench_metric(
             metric.distance_batch(&items, Some(&arena), &query, &ids, &mut out);
         }),
         Box::new(|| {
-            metric
-                .distance_batch_bounded(
-                    &items,
-                    Some(&arena),
-                    &query,
-                    &ids,
-                    &bounds,
-                    &mut out_bounded,
-                )
-                .expect("legacy arena");
+            metric.distance_batch_bounded(
+                &items,
+                Some(&arena),
+                &query,
+                &ids,
+                &bounds,
+                &mut out_bounded,
+            );
         }),
     ];
     if let Some(kernel) = scalar_kernel {
@@ -206,13 +185,6 @@ fn bench_metric(
                 *slot = kernel(q, o);
             }
             std::hint::black_box(&out_fold);
-        }));
-    }
-    if let Some(aligned) = &aligned_arena {
-        let (ids, items, query, metric) = (&ids, &items, &query, &metric);
-        let out_aligned = &mut out_aligned;
-        variants.push(Box::new(move || {
-            metric.distance_batch(items, Some(aligned), query, ids, out_aligned);
         }));
     }
     if is_edit {
@@ -228,16 +200,10 @@ fn bench_metric(
     let times = time_round_robin(pairs, variants);
     let (per_pair_ns, batch_ns, bounded_ns) = (times[0], times[1], times[2]);
     let scalar_ns = scalar_kernel.is_some().then(|| times[3]);
-    let aligned_ns = aligned_arena.is_some().then(|| times[times.len() - 1]);
     let dp_ns = is_edit.then(|| times[times.len() - 1]);
 
-    // The comparisons are only meaningful if the paths agree exactly —
-    // for the aligned row, the canonical lane order makes the block-wise
-    // kernel bit-identical to the scalar path, padding included.
+    // The comparisons are only meaningful if the paths agree exactly.
     assert_eq!(out, out_scalar, "batch and per-pair disagree");
-    if aligned_arena.is_some() {
-        assert_eq!(out_aligned, out_scalar, "aligned and per-pair disagree");
-    }
     if is_edit {
         assert_eq!(out, out_dp, "bit-parallel kernel and DP oracle disagree");
     }
@@ -250,7 +216,6 @@ fn bench_metric(
         batch_ns,
         bounded_ns,
         scalar_ns,
-        aligned_ns,
         dp_ns,
     }
 }
@@ -306,15 +271,10 @@ fn main() {
     let fmt_ratio = |v: Option<f64>| v.map_or_else(|| "null".to_string(), |s| format!("{s:.3}"));
     for (i, r) in runs.iter().enumerate() {
         let speedup = r.per_pair_ns / r.batch_ns;
-        // Aligned speedup vs the sequential-fold scalar reference.
-        let aligned_speedup = match (r.scalar_ns, r.aligned_ns) {
-            (Some(s), Some(a)) => Some(s / a),
-            _ => None,
-        };
         // Batched edit kernel speedup vs the DP oracle.
         let dp_speedup = r.dp_ns.map(|dp| dp / r.batch_ns);
         println!(
-            "dist_kernels/{:<11} ({} pairs, arity {:>3}): per-pair {:>8.1} ns/dist | scalar-fold {} | DP oracle {} | batch {:>8.1} | aligned {} | bounded {:>8.1} | batch speedup {:.2}x | aligned-vs-scalar {}x | batch-vs-DP {}x",
+            "dist_kernels/{:<11} ({} pairs, arity {:>3}): per-pair {:>8.1} ns/dist | scalar-fold {} | DP oracle {} | batch {:>8.1} | bounded {:>8.1} | batch speedup {:.2}x | batch-vs-scalar-fold {}x | batch-vs-DP {}x",
             r.label,
             r.pairs,
             r.arity,
@@ -322,15 +282,14 @@ fn main() {
             fmt_ns(r.scalar_ns),
             fmt_ns(r.dp_ns),
             r.batch_ns,
-            fmt_ns(r.aligned_ns),
             r.bounded_ns,
             speedup,
-            fmt_x(aligned_speedup),
+            fmt_x(r.scalar_ns.map(|s| s / r.batch_ns)),
             fmt_x(dp_speedup),
         );
         let _ = writeln!(
             json,
-            "    {{\"metric\": \"{}\", \"pairs\": {}, \"arity\": {}, \"per_pair_ns_per_dist\": {:.2}, \"scalar_fold_ns_per_dist\": {}, \"dp_ns_per_dist\": {}, \"batch_ns_per_dist\": {:.2}, \"aligned_ns_per_dist\": {}, \"bounded_ns_per_dist\": {:.2}, \"batch_speedup\": {:.3}, \"aligned_speedup\": {}, \"dp_speedup\": {}}}{}",
+            "    {{\"metric\": \"{}\", \"pairs\": {}, \"arity\": {}, \"per_pair_ns_per_dist\": {:.2}, \"scalar_fold_ns_per_dist\": {}, \"dp_ns_per_dist\": {}, \"batch_ns_per_dist\": {:.2}, \"bounded_ns_per_dist\": {:.2}, \"batch_speedup\": {:.3}, \"dp_speedup\": {}}}{}",
             r.label,
             r.pairs,
             r.arity,
@@ -338,27 +297,25 @@ fn main() {
             fmt_num(r.scalar_ns),
             fmt_num(r.dp_ns),
             r.batch_ns,
-            fmt_num(r.aligned_ns),
             r.bounded_ns,
             speedup,
-            fmt_ratio(aligned_speedup),
             fmt_ratio(dp_speedup),
             if i + 1 < runs.len() { "," } else { "" }
         );
     }
     json.push_str("  ]\n}\n");
 
-    // Acceptance bar: aligned block-wise L2 beats the sequential-fold
-    // scalar reference by ≥ 1.3× on the 20k-pair block.
+    // Acceptance bar: the batched 8-lane L2 kernel beats the
+    // sequential-fold scalar reference by ≥ 1.3× on the 20k-pair block.
     let l2 = &runs[0];
     let l2_scalar = l2.scalar_ns.expect("L2 has a scalar reference");
-    let l2_aligned = l2.aligned_ns.expect("L2 has a block kernel");
-    let l2_speedup = l2_scalar / l2_aligned;
+    let l2_speedup = l2_scalar / l2.batch_ns;
     assert!(
-        l2_speedup >= ALIGNED_L2_MIN_SPEEDUP,
-        "aligned block-wise L2 must be ≥ {ALIGNED_L2_MIN_SPEEDUP}× the \
-         sequential-fold scalar reference, measured {l2_speedup:.2}× \
-         ({l2_scalar:.1} ns scalar vs {l2_aligned:.1} ns aligned per distance)",
+        l2_speedup >= L2_MIN_FOLD_SPEEDUP,
+        "batched L2 must be ≥ {L2_MIN_FOLD_SPEEDUP}× the sequential-fold \
+         scalar reference, measured {l2_speedup:.2}× ({l2_scalar:.1} ns \
+         scalar vs {:.1} ns batched per distance)",
+        l2.batch_ns,
     );
 
     // Acceptance bar: the batched bit-parallel edit kernel beats the DP

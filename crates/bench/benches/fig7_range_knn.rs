@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gts_bench::workload::{defaults, Workload};
 use gts_bench::{AnyIndex, Config, Method};
 use gts_core::GtsParams;
-use metric_space::{ArenaLayout, DatasetKind};
+use metric_space::DatasetKind;
 
 fn bench(c: &mut Criterion) {
     let cfg = Config::tiny();
@@ -24,27 +24,6 @@ fn bench(c: &mut Criterion) {
             b.iter(|| idx.batch_range(&queries, &radii).expect("mrq"))
         });
         group.bench_function(format!("knn/{}", method.name()), |b| {
-            b.iter(|| idx.batch_knn(&queries, defaults::K).expect("knn"))
-        });
-    }
-    // GTS on the SIMD-aligned arena layout: answers and simulated cycles
-    // are identical to the legacy rows by contract (tests/arena_invariance.rs);
-    // the delta against `mrq/GTS` / `knn/GTS` is pure host wall-clock.
-    {
-        let dev = cfg.device();
-        let idx = AnyIndex::build(
-            Method::Gts,
-            &dev,
-            &data,
-            &cfg,
-            GtsParams::default().with_arena_layout(ArenaLayout::Aligned),
-        )
-        .expect("build")
-        .index;
-        group.bench_function("mrq/GTS-aligned", |b| {
-            b.iter(|| idx.batch_range(&queries, &radii).expect("mrq"))
-        });
-        group.bench_function("knn/GTS-aligned", |b| {
             b.iter(|| idx.batch_knn(&queries, defaults::K).expect("knn"))
         });
     }

@@ -102,22 +102,12 @@ where
     O: Send + Sync,
     M: BatchMetric<O>,
 {
-    // The bounded kernels return `Err(LayoutUnsupported)` when handed an
-    // arena whose layout they cannot resolve (e.g. the banded edit kernel
-    // on an aligned arena). `Gts` only ever pairs a metric with an arena it
-    // built itself via `build_arena_with` — which degrades the layout to
-    // `Legacy` for exactly those metrics — so a mismatch here is an index
-    // invariant violation, not a runtime condition.
     if threads <= 1 || ids.len() < PAR_MIN_PAIRS {
-        return metric
-            .distance_batch_bounded(objects, arena, query, ids, bounds, out)
-            .expect("index paired a bounded kernel with an unsupported arena layout");
+        return metric.distance_batch_bounded(objects, arena, query, ids, bounds, out);
     }
     let chunks = chunk_bounded(BATCH_CHUNK, ids, bounds, out);
     dev.run_batch_chunks(threads, chunks, |c| {
-        metric
-            .distance_batch_bounded(objects, arena, query, c.ids, c.bounds, c.out)
-            .expect("index paired a bounded kernel with an unsupported arena layout")
+        metric.distance_batch_bounded(objects, arena, query, c.ids, c.bounds, c.out)
     })
 }
 
@@ -167,9 +157,8 @@ mod tests {
         let bounds: Vec<f64> = (0..n).map(|i| (i % 4) as f64).collect();
         let q = &items[0];
         let mut serial = vec![None; n];
-        let expect = metric
-            .distance_batch_bounded(&items, Some(&arena), q, &ids, &bounds, &mut serial)
-            .expect("legacy arena");
+        let expect =
+            metric.distance_batch_bounded(&items, Some(&arena), q, &ids, &bounds, &mut serial);
         for threads in [1usize, 2, 8] {
             let mut out = vec![None; n];
             let got = distance_block_bounded(

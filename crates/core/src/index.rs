@@ -42,9 +42,10 @@ pub struct Gts<O, M> {
     /// Every object ever inserted; ids are indices here and never recycled.
     objects: Vec<O>,
     /// Flat payload arena mirroring `objects` (same ids), fed to the
-    /// batched distance kernels. `None` when `params.use_arena` is off or
-    /// the metric has no flat layout — kernels then fall back to per-pair
-    /// object access with identical results and identical simulated cost.
+    /// batched distance kernels. `None` only when the metric or the data
+    /// has no flat layout (a custom metric, a mixed dataset) — kernels then
+    /// fall back to per-pair object access with identical results and
+    /// identical simulated cost.
     arena: Option<ObjectArena>,
     /// Liveness per id (deletions flip this off).
     live: Vec<bool>,
@@ -190,12 +191,7 @@ where
     /// the device *layout* of the already-resident object payloads, not an
     /// extra copy, so it carries no separate reservation.
     fn refresh_arena(&mut self) {
-        self.arena = if self.params.use_arena {
-            self.metric
-                .build_arena_with(&self.objects, self.params.arena_layout)
-        } else {
-            None
-        };
+        self.arena = self.metric.build_arena(&self.objects);
     }
 
     fn reconstruct(&mut self) -> Result<(), IndexError> {
@@ -692,13 +688,7 @@ where
         for &id in &decoded.cache_ids {
             cache.insert(id, objects[id as usize].size_bytes() as usize);
         }
-        // `arena_layout` is an un-persisted kernel knob: restored params
-        // carry the default `Legacy`, so this rebuild is layout-neutral.
-        let arena = if decoded.params.use_arena {
-            metric.build_arena_with(&objects, decoded.params.arena_layout)
-        } else {
-            None
-        };
+        let arena = metric.build_arena(&objects);
         Ok(Gts {
             dev: Arc::clone(dev),
             metric,

@@ -1,8 +1,6 @@
 //! Tunable parameters of the GTS index, including the ablation toggles
 //! called out in DESIGN.md §2.
 
-pub use metric_space::ArenaLayout;
-
 /// Construction/search parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GtsParams {
@@ -26,24 +24,6 @@ pub struct GtsParams {
     /// grouping off, an oversized batch aborts with `OutOfMemory` — the
     /// memory-deadlock behaviour of the naive strategy.
     pub query_grouping: bool,
-    /// Resolve distance kernels against the flat object arena (`true`,
-    /// default). With it off, the batched kernels fall back to per-pair
-    /// object access — same answers, same simulated cycles, no flat-layout
-    /// wall-clock speedup (the invariance tests compare the two paths).
-    pub use_arena: bool,
-    /// Memory layout of the flat object arena
-    /// ([`ArenaLayout::Legacy`] packed `f32` rows, the default, or
-    /// [`ArenaLayout::Aligned`] 32-byte-aligned zero-padded 8-lane block
-    /// rows). Both layouts run the **same canonical lane-summation order**
-    /// inside the L1/L2 kernels, so answers are bit-identical and simulated
-    /// cycles are equal — the aligned layout is a pure wall-clock lever
-    /// (autovectorised contiguous block rows) like `host_threads`, and like
-    /// it is **not persisted** by snapshots: restored indexes come back
-    /// `Legacy` and rebuild their arena from the restored objects. Metrics
-    /// without a block kernel (edit distance, angular) silently degrade an
-    /// aligned request to `Legacy` at arena-build time, so the knob is safe
-    /// to set for any dataset. Ignored when `use_arena` is off.
-    pub arena_layout: ArenaLayout,
     /// Leaf verification through the **early-abandoning bounded kernel**
     /// ([`BatchMetric::distance_batch_bounded`](metric_space::BatchMetric::distance_batch_bounded)):
     /// each survivor of the stored-distance filter is evaluated against its
@@ -112,8 +92,6 @@ impl Default for GtsParams {
             two_sided_pruning: true,
             fft_pivots: true,
             query_grouping: true,
-            use_arena: true,
-            arena_layout: ArenaLayout::Legacy,
             bounded_verification: false,
             host_threads: 0,
             bound_broadcast: false,
@@ -140,19 +118,6 @@ impl GtsParams {
     /// Builder-style cache-capacity override.
     pub fn with_cache_capacity(mut self, bytes: usize) -> Self {
         self.cache_capacity_bytes = bytes;
-        self
-    }
-
-    /// Builder-style arena toggle (disable to run the per-pair fallback).
-    pub fn with_use_arena(mut self, use_arena: bool) -> Self {
-        self.use_arena = use_arena;
-        self
-    }
-
-    /// Builder-style arena-layout override (request the SIMD-aligned block
-    /// layout; metrics without a block kernel degrade it to `Legacy`).
-    pub fn with_arena_layout(mut self, layout: ArenaLayout) -> Self {
-        self.arena_layout = layout;
         self
     }
 
@@ -219,12 +184,6 @@ mod tests {
             "paper's recommended cache"
         );
         assert!(p.two_sided_pruning && p.fft_pivots && p.query_grouping);
-        assert!(p.use_arena, "flat arena kernels are the default");
-        assert_eq!(
-            p.arena_layout,
-            ArenaLayout::Legacy,
-            "legacy layout by default (aligned is opt-in)"
-        );
         assert!(
             !p.bounded_verification,
             "bounded verification is opt-in (cycle baselines stay put)"

@@ -724,11 +724,13 @@ where
                 "sharded snapshot object count does not match the provided store",
             ));
         }
-        assert!(
-            pool.len() >= shards as usize,
-            "pool must supply one device per shard ({} < {shards})",
-            pool.len()
-        );
+        // The shard count comes from the (untrusted) header: a pool too small
+        // for it is a typed error, not a panic.
+        if pool.len() < shards as usize {
+            return Err(IndexError::Unsupported(
+                "sharded snapshot needs more devices than the pool supplies",
+            ));
+        }
         let shards = shards as usize;
         let partitioner = Partitioner::new(shards as u32, strategy);
         // Slice every shard's inner snapshot out of the envelope first,
@@ -1193,6 +1195,19 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(ShardedGts::restore(&pool, items, metric, &long).is_err());
+    }
+
+    #[test]
+    fn snapshot_with_more_shards_than_devices_is_an_error() {
+        // The shard count is read from the snapshot header: a pool too
+        // small for it must yield a typed error, not a panic.
+        let (items, metric, idx) = sharded(100, 2);
+        let bytes = idx.snapshot();
+        let pool = DevicePool::rtx_2080_ti(1);
+        assert!(matches!(
+            ShardedGts::restore(&pool, items, metric, &bytes),
+            Err(IndexError::Unsupported(_))
+        ));
     }
 
     #[test]

@@ -13,9 +13,9 @@ use crate::params::GtsParams;
 use crate::table::{TableEntry, TableList};
 use metric_space::index::IndexError;
 
-/// Magic + version tag (bumped whenever the layout changes; `GTS2` added
-/// the `use_arena` parameter byte).
-const MAGIC: &[u8; 4] = b"GTS2";
+/// Magic + version tag (bumped whenever the layout changes; `GTS3`
+/// dropped the arena-toggle parameter byte `GTS2` carried).
+const MAGIC: &[u8; 4] = b"GTS3";
 
 /// Little-endian writer (shared with the sharded-index snapshot, which
 /// embeds per-shard `encode` payloads in its own envelope).
@@ -103,7 +103,6 @@ pub(crate) fn encode(parts: SnapshotParts<'_>) -> Vec<u8> {
     w.u8(u8::from(parts.params.two_sided_pruning));
     w.u8(u8::from(parts.params.fft_pivots));
     w.u8(u8::from(parts.params.query_grouping));
-    w.u8(u8::from(parts.params.use_arena));
     // Tree shape + nodes.
     let shape = parts.nodes.shape();
     w.u32(shape.nc);
@@ -169,12 +168,10 @@ pub(crate) fn decode(bytes: &[u8], object_count: usize) -> Result<Decoded, Index
         two_sided_pruning: r.u8()? != 0,
         fft_pivots: r.u8()? != 0,
         query_grouping: r.u8()? != 0,
-        use_arena: r.u8()? != 0,
         // Execution-topology and kernel-strategy knobs are not single-index
         // state: a restored index uses the restoring machine's parallelism
         // and default kernel strategy, and the sharded envelope records its
         // own shard count.
-        arena_layout: metric_space::ArenaLayout::Legacy,
         bounded_verification: false,
         host_threads: 0,
         bound_broadcast: false,
@@ -234,6 +231,14 @@ pub(crate) fn decode(bytes: &[u8], object_count: usize) -> Result<Decoded, Index
         ids.push(obj);
         dis.push(r.f64()?);
         deleted.push(r.u8()? != 0);
+    }
+    // Every node's table range must lie inside the table: search slices
+    // the table by these ranges and sizes buffers by them.
+    for id in 1..=node_count {
+        let n = nodes.get(id);
+        if u64::from(n.pos) + u64::from(n.size) > table_len as u64 {
+            return Err(IndexError::Unsupported("corrupt snapshot: node range"));
+        }
     }
     let table = TableList::from_columns(ids, dis, deleted);
     let live_len = r.u64()? as usize;
@@ -355,8 +360,8 @@ mod tests {
         // with a typed error instead of aborting on the allocation.
         let (items, metric, gts) = build();
         let mut bytes = gts.snapshot();
-        // MAGIC, node_capacity u32, seed u64, cache u64, four flag bytes.
-        let shape_at = 4 + 4 + 8 + 8 + 4;
+        // MAGIC, node_capacity u32, seed u64, cache u64, three flag bytes.
+        let shape_at = 4 + 4 + 8 + 8 + 3;
         let nc = u32::from_le_bytes(bytes[shape_at..shape_at + 4].try_into().expect("nc"));
         let hostile = TreeShape { nc, h: 12 };
         let count = hostile.total_nodes().expect("fits in usize") as u64;

@@ -310,23 +310,16 @@ pub enum VectorMetric {
     Angular,
 }
 
-/// Lanes summed in parallel by the block-wise L1/L2 kernels — one
-/// [`AlignedBlock`](crate::arena::AlignedBlock) worth of `f32`s.
-pub const LANES: usize = crate::arena::AlignedBlock::LANES;
+/// Lanes summed in parallel by the L1/L2 kernels.
+pub const LANES: usize = 8;
 
-/// The **canonical lane-summation order** shared by every L1/L2 entry point
-/// (slice or block-row): 8 per-lane `f64` accumulators filled sequentially
-/// across blocks, reduced once at the end by this fixed binary tree. The
-/// parallel accumulators break the loop-carried add dependency of a
-/// sequential fold (so rustc can vectorize), and because *every* layout and
-/// chunking runs this exact order, results are a pure function of the
-/// logical payloads: bit-identical between legacy and aligned arenas, for
-/// any host thread count, and for 1 or N shards.
-///
-/// Zero-padded tail lanes are exact, not approximate: each contributes
-/// `+0.0` to an accumulator that is non-negative (sums of `|·|` or `(·)²`
-/// starting at `+0.0`), and `x + 0.0 == x` bitwise for every non-negative
-/// `x` — so padding never changes a single result bit.
+/// The **canonical lane-summation order** of the L1/L2 kernels: 8 per-lane
+/// `f64` accumulators filled sequentially across 8-element blocks (the
+/// tail lands in the first lanes), reduced once at the end by this fixed
+/// binary tree. The parallel accumulators break the loop-carried add
+/// dependency of a sequential fold (so rustc can vectorize), and because
+/// every caller runs this exact order, results are a pure function of the
+/// payloads: bit-identical for any host thread count and for 1 or N shards.
 #[inline(always)]
 fn lane_reduce(acc: [f64; LANES]) -> f64 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
@@ -368,37 +361,6 @@ pub fn l2(a: &[f32], b: &[f32]) -> f64 {
     lane_reduce(acc).sqrt()
 }
 
-/// L1 distance over zero-padded block rows — the aligned-arena fast path.
-///
-/// Same canonical order as [`l1`] on the logical payloads (padding lanes
-/// add `+0.0`, a bitwise identity), but with no tail handling: every
-/// iteration consumes one whole 8-lane block, the shape rustc turns into
-/// packed SIMD. Rows must pack equal logical lengths.
-#[inline]
-pub fn l1_blocks(a: &[crate::arena::AlignedBlock], b: &[crate::arena::AlignedBlock]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    // Same loop body as the packed slice kernel, over the flat lane view —
-    // whole blocks only, so the slice kernel's tail loop is dead here. A
-    // hand-rolled per-block loop regresses ~40%: LLVM's SLP vectorizer
-    // folds the final reduction's lane permutation into every iteration.
-    l1(
-        crate::arena::AlignedBlock::lanes_of(a),
-        crate::arena::AlignedBlock::lanes_of(b),
-    )
-}
-
-/// L2 distance over zero-padded block rows — the aligned-arena fast path
-/// (see [`l1_blocks`] for the identity argument).
-#[inline]
-pub fn l2_blocks(a: &[crate::arena::AlignedBlock], b: &[crate::arena::AlignedBlock]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    // See `l1_blocks` for why this delegates to the slice kernel.
-    l2(
-        crate::arena::AlignedBlock::lanes_of(a),
-        crate::arena::AlignedBlock::lanes_of(b),
-    )
-}
-
 /// Angular distance `arccos(cosine similarity) / π`, a metric on the unit
 /// sphere. Inputs need not be normalised; zero vectors are at distance 0
 /// from everything by convention (they do not occur in the generators).
@@ -418,23 +380,7 @@ pub fn angular(a: &[f32], b: &[f32]) -> f64 {
     cos.acos() / std::f64::consts::PI
 }
 
-/// A distance kernel over zero-padded aligned block rows
-/// ([`l1_blocks`]/[`l2_blocks`]).
-pub type BlockKernel = fn(&[crate::arena::AlignedBlock], &[crate::arena::AlignedBlock]) -> f64;
-
 impl VectorMetric {
-    /// The block-row kernel of this metric, if it has one: the L1/L2 loops
-    /// are block-wise ([`l1_blocks`]/[`l2_blocks`]); angular stays scalar
-    /// (its three coupled accumulators gain nothing from lane splitting),
-    /// so aligned arenas are never built for it.
-    pub fn block_kernel(&self) -> Option<BlockKernel> {
-        match self {
-            VectorMetric::L1 => Some(l1_blocks),
-            VectorMetric::L2 => Some(l2_blocks),
-            VectorMetric::Angular => None,
-        }
-    }
-
     /// [`Metric::work`] from the dimensionality alone (the batched kernels
     /// read lengths off the arena offsets without touching payloads).
     pub fn work_len(&self, dims: usize) -> u64 {
@@ -717,27 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn block_kernels_match_slices_bitwise() {
-        use crate::arena::AlignedBlock;
-        // Every length across block boundaries, including 0 and one lane.
-        for n in [0usize, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 128, 130] {
-            let a: Vec<f32> = (0..n).map(|i| (i as f32).sin() * 3.7).collect();
-            let b: Vec<f32> = (0..n).map(|i| (i as f32 * 0.13).cos() - 1.2).collect();
-            let (ba, bb) = (AlignedBlock::pack(&a), AlignedBlock::pack(&b));
-            assert_eq!(
-                l1(&a, &b).to_bits(),
-                l1_blocks(&ba, &bb).to_bits(),
-                "L1 n={n}"
-            );
-            assert_eq!(
-                l2(&a, &b).to_bits(),
-                l2_blocks(&ba, &bb).to_bits(),
-                "L2 n={n}"
-            );
-        }
-    }
-
-    #[test]
     fn low_dim_l2_matches_sequential_fold() {
         // For dims ≤ 3 the canonical lane order degenerates to the plain
         // left-to-right fold — the property that keeps the 2-D T-Loc
@@ -765,13 +690,6 @@ mod tests {
             assert_eq!(l2(&a, &b).to_bits(), seq_l2.to_bits(), "L2 n={n}");
             assert_eq!(l1(&a, &b).to_bits(), seq_l1.to_bits(), "L1 n={n}");
         }
-    }
-
-    #[test]
-    fn block_kernel_availability() {
-        assert!(VectorMetric::L1.block_kernel().is_some());
-        assert!(VectorMetric::L2.block_kernel().is_some());
-        assert!(VectorMetric::Angular.block_kernel().is_none());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod stats;
 #[path = "../tests/support/edit_dp.rs"]
 mod edit_dp;
 
-pub use arena::{AlignedBlock, ArenaKind, ArenaLayout, LayoutUnsupported, ObjectArena};
+pub use arena::{ArenaKind, ArenaLayout, ObjectArena};
 pub use batch::{chunk_pairs, BatchChunk, BatchMetric};
 pub use dataset::{Dataset, DatasetKind};
 pub use dist::{EditDistance, EditScratch, ItemMetric, Metric, VectorMetric};

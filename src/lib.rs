@@ -76,6 +76,6 @@ pub mod prelude {
     };
     pub use metric_space::index::{DynamicIndex, Neighbor, SimilarityIndex};
     pub use metric_space::{
-        ArenaLayout, Dataset, DatasetKind, Item, ItemMetric, PartitionStrategy, Partitioner,
+        Dataset, DatasetKind, Item, ItemMetric, PartitionStrategy, Partitioner,
     };
 }

@@ -2,13 +2,18 @@
 //! optimisation, and host-parallel chunked execution is a pure wall-clock
 //! optimisation. Searches over the arena path must return **identical**
 //! MRQ/MkNNQ answers *and identical simulated cycle counts* to the per-pair
-//! fallback path (`use_arena = false`), which accesses boxed `Item` payloads
-//! one pair at a time exactly like the original implementation — and runs
-//! with any `host_threads` setting must be bit-identical to single-threaded
-//! runs, cycle counts included.
+//! fallback path (the `PerPair` metric of `support/per_pair.rs`), which
+//! accesses boxed `Item` payloads one pair at a time exactly like the
+//! original implementation — and runs with any `host_threads` setting must
+//! be bit-identical to single-threaded runs, cycle counts included.
 
 use gts::gpu::DeviceStats;
+use gts::metric::BatchMetric;
 use gts::prelude::*;
+
+#[path = "support/per_pair.rs"]
+mod per_pair;
+use per_pair::PerPair;
 
 struct Run {
     build_stats: DeviceStats,
@@ -18,10 +23,16 @@ struct Run {
     search_stats: gts::core::stats::StatsSnapshot,
 }
 
-fn run_with(kind: DatasetKind, n: usize, params: GtsParams, radius: f64) -> Run {
+fn run_on<M: BatchMetric<Item>>(
+    kind: DatasetKind,
+    n: usize,
+    metric: fn(ItemMetric) -> M,
+    params: GtsParams,
+    radius: f64,
+) -> Run {
     let data = kind.generate(n, 1234);
     let dev = Device::rtx_2080_ti();
-    let gts = Gts::build(&dev, data.items.clone(), data.metric, params).expect("build");
+    let gts = Gts::build(&dev, data.items.clone(), metric(data.metric), params).expect("build");
     let build_stats = dev.stats();
     let queries: Vec<Item> = (0..48u32).map(|i| data.item(i * 7).clone()).collect();
     let radii = vec![radius; queries.len()];
@@ -38,18 +49,13 @@ fn run_with(kind: DatasetKind, n: usize, params: GtsParams, radius: f64) -> Run 
     }
 }
 
-fn run(kind: DatasetKind, n: usize, use_arena: bool, radius: f64) -> Run {
-    run_with(
-        kind,
-        n,
-        GtsParams::default().with_use_arena(use_arena),
-        radius,
-    )
+fn run_with(kind: DatasetKind, n: usize, params: GtsParams, radius: f64) -> Run {
+    run_on(kind, n, |m| m, params, radius)
 }
 
 fn assert_invariant(kind: DatasetKind, radius: f64) {
-    let arena = run(kind, 700, true, radius);
-    let per_pair = run(kind, 700, false, radius);
+    let arena = run_with(kind, 700, GtsParams::default(), radius);
+    let per_pair = run_on(kind, 700, PerPair, GtsParams::default(), radius);
     assert_eq!(
         arena.mrq, per_pair.mrq,
         "{kind:?}: MRQ answers must be bit-identical"
@@ -177,104 +183,28 @@ fn single_query_is_a_batch_of_one_through_the_engine() {
     );
 }
 
-/// Layout invariance: the SIMD-aligned block layout is a pure wall-clock
-/// lever. Because the block-wise kernels sum lanes in the same canonical
-/// order as the packed scalar kernels (zero-padded tails are a bitwise
-/// identity), answers must be **bit-identical** between `ArenaLayout::Legacy`
-/// and `ArenaLayout::Aligned`, and because the work model reads payload
-/// lengths only, simulated cycle counts must match exactly too — at every
-/// `host_threads` setting.
-fn assert_layout_invariant(kind: DatasetKind, radius: f64) {
-    let base = GtsParams::default().with_use_arena(true);
-    let legacy = run_with(
-        kind,
-        700,
-        base.with_arena_layout(ArenaLayout::Legacy),
-        radius,
-    );
-    for threads in [1usize, 3, 8] {
-        let aligned = run_with(
-            kind,
-            700,
-            base.with_arena_layout(ArenaLayout::Aligned)
-                .with_host_threads(threads),
-            radius,
-        );
-        assert_eq!(
-            legacy.mrq, aligned.mrq,
-            "{kind:?}: MRQ answers must be layout-invariant (threads={threads})"
-        );
-        assert_eq!(
-            legacy.knn, aligned.knn,
-            "{kind:?}: MkNNQ answers must be layout-invariant (threads={threads})"
-        );
-        assert_eq!(
-            legacy.build_stats, aligned.build_stats,
-            "{kind:?}: construction counters must be layout-invariant (threads={threads})"
-        );
-        assert_eq!(
-            legacy.search_cycles, aligned.search_cycles,
-            "{kind:?}: search cycles must be layout-invariant (threads={threads})"
-        );
-        assert_eq!(
-            legacy.search_stats, aligned.search_stats,
-            "{kind:?}: pruning counters must be layout-invariant (threads={threads})"
-        );
+type UpdateRun = (Vec<Vec<Neighbor>>, Vec<Vec<Neighbor>>, u64);
+
+fn run_updates<M: BatchMetric<Item>>(data: &Dataset, metric: M) -> UpdateRun {
+    let dev = Device::rtx_2080_ti();
+    let mut gts =
+        Gts::build(&dev, data.items.clone(), metric, GtsParams::default()).expect("build");
+    gts.remove(3).expect("rm");
+    for i in 0..8 {
+        gts.insert(Item::text(format!("inserted{i}"))).expect("ins");
     }
-}
-
-#[test]
-fn vector_aligned_layout_matches_legacy() {
-    assert_layout_invariant(DatasetKind::Vector, 0.35);
-}
-
-#[test]
-fn tloc_aligned_layout_matches_legacy() {
-    assert_layout_invariant(DatasetKind::TLoc, 900.0);
-}
-
-/// Edit distance has no block kernel: requesting the aligned layout must
-/// degrade to the packed legacy arena (not crash, not change answers).
-#[test]
-fn words_aligned_request_degrades_to_legacy() {
-    let base = GtsParams::default().with_use_arena(true);
-    let legacy = run_with(DatasetKind::Words, 700, base, 2.0);
-    let aligned = run_with(
-        DatasetKind::Words,
-        700,
-        base.with_arena_layout(ArenaLayout::Aligned),
-        2.0,
-    );
-    assert_eq!(legacy.mrq, aligned.mrq);
-    assert_eq!(legacy.knn, aligned.knn);
-    assert_eq!(legacy.build_stats, aligned.build_stats);
-    assert_eq!(legacy.search_cycles, aligned.search_cycles);
+    let queries = vec![Item::text("inserted3"), data.items[10].clone()];
+    let mark = dev.cycles();
+    let mrq = gts.batch_range(&queries, &[1.0, 2.0]).expect("mrq");
+    let knn = gts.batch_knn(&queries, 4).expect("knn");
+    (mrq, knn, dev.cycles() - mark)
 }
 
 #[test]
 fn updates_preserve_invariance_through_the_cache_scan() {
     let data = DatasetKind::Words.generate(300, 77);
-    let run = |use_arena: bool| {
-        let dev = Device::rtx_2080_ti();
-        let mut gts = Gts::build(
-            &dev,
-            data.items.clone(),
-            data.metric,
-            GtsParams::default().with_use_arena(use_arena),
-        )
-        .expect("build");
-        gts.remove(3).expect("rm");
-        for i in 0..8 {
-            gts.insert(Item::text(format!("inserted{i}"))).expect("ins");
-        }
-        let queries = vec![Item::text("inserted3"), data.items[10].clone()];
-        let mark = dev.cycles();
-        let mrq = gts.batch_range(&queries, &[1.0, 2.0]).expect("mrq");
-        let knn = gts.batch_knn(&queries, 4).expect("knn");
-        (mrq, knn, dev.cycles() - mark)
-    };
-    let (mrq_a, knn_a, cycles_a) = run(true);
-    let (mrq_b, knn_b, cycles_b) = run(false);
+    let (mrq_a, knn_a, cycles_a) = run_updates(&data, data.metric);
+    let (mrq_b, knn_b, cycles_b) = run_updates(&data, PerPair(data.metric));
     assert_eq!(mrq_a, mrq_b);
     assert_eq!(knn_a, knn_b);
     assert_eq!(cycles_a, cycles_b, "cache-scan kernels charge identically");

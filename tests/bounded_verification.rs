@@ -7,7 +7,12 @@
 //! tie-safe — while simulated search cycles may only *shrink* (the Ukkonen
 //! band never exceeds the full DP, and every other kernel is untouched).
 
+use gts::metric::BatchMetric;
 use gts::prelude::*;
+
+#[path = "support/per_pair.rs"]
+mod per_pair;
+use per_pair::PerPair;
 
 struct Run {
     mrq: Vec<Vec<Neighbor>>,
@@ -83,10 +88,40 @@ fn bounded_verification_is_a_noop_for_vector_metrics() {
     );
 }
 
+type Answers = (Vec<Vec<Neighbor>>, Vec<Vec<Neighbor>>);
+
+/// Bounded verification through a 3-shard scatter with `metric`: answers
+/// must equal `reference`, and some verifications must abandon.
+fn assert_sharded_bounded<M: BatchMetric<Item> + Clone>(
+    label: &str,
+    data: &Dataset,
+    metric: M,
+    queries: &[Item],
+    radii: &[f64],
+    reference: &Answers,
+) {
+    let params = GtsParams::default()
+        .with_bounded_verification(true)
+        .with_shards(3);
+    let pool = DevicePool::rtx_2080_ti(3);
+    let sharded = ShardedGts::build(&pool, data.items.clone(), metric, params).expect("build");
+    assert_eq!(
+        sharded.batch_range(queries, radii).expect("mrq"),
+        reference.0,
+        "{label}"
+    );
+    assert_eq!(
+        sharded.batch_knn(queries, 5).expect("knn"),
+        reference.1,
+        "{label}"
+    );
+    assert!(sharded.stats().leaf_abandoned > 0);
+}
+
 #[test]
 fn bounded_verification_composes_with_shards_and_fallback_paths() {
-    // The toggle must stay answer-invariant through the sharded scatter and
-    // with the arena disabled (per-pair payload resolution).
+    // The toggle must stay answer-invariant through the sharded scatter,
+    // over the arena and through per-pair payload resolution.
     let data = DatasetKind::Words.generate(900, 31);
     let queries: Vec<Item> = (0..24u32).map(|i| data.item(i * 13).clone()).collect();
     let radii = vec![2.0; queries.len()];
@@ -101,24 +136,13 @@ fn bounded_verification_composes_with_shards_and_fallback_paths() {
         )
     };
 
-    for use_arena in [true, false] {
-        let params = GtsParams::default()
-            .with_bounded_verification(true)
-            .with_use_arena(use_arena)
-            .with_shards(3);
-        let pool = DevicePool::rtx_2080_ti(3);
-        let sharded =
-            ShardedGts::build(&pool, data.items.clone(), data.metric, params).expect("build");
-        assert_eq!(
-            sharded.batch_range(&queries, &radii).expect("mrq"),
-            reference.0,
-            "use_arena = {use_arena}"
-        );
-        assert_eq!(
-            sharded.batch_knn(&queries, 5).expect("knn"),
-            reference.1,
-            "use_arena = {use_arena}"
-        );
-        assert!(sharded.stats().leaf_abandoned > 0);
-    }
+    assert_sharded_bounded("arena", &data, data.metric, &queries, &radii, &reference);
+    assert_sharded_bounded(
+        "per-pair",
+        &data,
+        PerPair(data.metric),
+        &queries,
+        &radii,
+        &reference,
+    );
 }

@@ -139,8 +139,7 @@ proptest! {
         let bounds = vec![bound; ids.len()];
         let mut bounded = vec![None; ids.len()];
         metric
-            .distance_batch_bounded(&items, Some(&arena), &query, &ids, &bounds, &mut bounded)
-            .expect("legacy arena");
+            .distance_batch_bounded(&items, Some(&arena), &query, &ids, &bounds, &mut bounded);
         for ((w, &got), &within) in words.iter().zip(&out).zip(&bounded) {
             let want = f64::from(levenshtein(q.as_bytes(), w.as_bytes()));
             prop_assert_eq!(got, want, "{} vs {} bytes", q.len(), w.len());
@@ -288,8 +287,7 @@ proptest! {
             let bounds = vec![bound; ids.len()];
             let mut out = vec![None; ids.len()];
             metric
-                .distance_batch_bounded(&items, Some(&arena), q, &ids, &bounds, &mut out)
-                .expect("legacy arena");
+                .distance_batch_bounded(&items, Some(&arena), q, &ids, &bounds, &mut out);
             for (&id, slot) in ids.iter().zip(&out) {
                 let real = metric.distance(q, &items[id as usize]);
                 match slot {

@@ -503,17 +503,17 @@ fn broadcast_kills_a_hopeless_shards_frontier_early() {
     );
 }
 
-/// Layout × topology: the SIMD-aligned arena layout must compose with
-/// sharding as a pure wall-clock lever. For S ∈ {1, 2, 4}, a sharded index
-/// whose shards all run the aligned block kernels must return answers
-/// **bit-identical** to the single-device legacy-layout index, and the
-/// S = 1 case must also charge the identical device cycle count.
+/// Vector data × topology: the other sweeps run edit distance over text;
+/// this one runs L2 over the flat `f32` arena. For S ∈ {1, 2, 4}, a
+/// sharded T-Loc index must return answers **bit-identical** to the
+/// single-device index, and the S = 1 case must also charge the identical
+/// device cycle count.
 #[test]
-fn aligned_layout_is_shard_invariant() {
+fn tloc_vectors_are_shard_invariant() {
     let data = DatasetKind::TLoc.generate(1_200, 4321);
     let dev = Device::rtx_2080_ti();
     let single = Gts::build(&dev, data.items.clone(), data.metric, GtsParams::default())
-        .expect("single-device legacy build");
+        .expect("single-device build");
     let queries: Vec<Item> = (0..24usize)
         .map(|i| data.items[(i * 13) % 1_200].clone())
         .collect();
@@ -527,26 +527,24 @@ fn aligned_layout_is_shard_invariant() {
             &pool,
             data.items.clone(),
             data.metric,
-            GtsParams::default()
-                .with_shards(s)
-                .with_arena_layout(ArenaLayout::Aligned),
+            GtsParams::default().with_shards(s),
         )
-        .expect("aligned sharded build");
+        .expect("sharded build");
         assert_eq!(
             sharded.batch_range(&queries, &radii).expect("sharded mrq"),
             want_mrq,
-            "aligned MRQ answers must be bit-identical at {s} shards"
+            "MRQ answers must be bit-identical at {s} shards"
         );
         assert_eq!(
             sharded.batch_knn(&queries, 8).expect("sharded knn"),
             want_knn,
-            "aligned MkNNQ answers must be bit-identical at {s} shards"
+            "MkNNQ answers must be bit-identical at {s} shards"
         );
         if s == 1 {
             assert_eq!(
                 pool.get(0).stats(),
                 dev.stats(),
-                "one aligned shard charges the legacy single-device cycles"
+                "one shard charges the single-device cycles"
             );
         }
     }
